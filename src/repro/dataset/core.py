@@ -6,7 +6,7 @@ dependency graph.  :class:`Dataset` binds them once: footprints are
 interned into per-dimension bitmasks (:class:`repro.dataset.ApiSpace`
 assigns the ids), popcon probabilities are materialized into a weight
 vector aligned with package ids, and the SCC-condensed dependency DAG
-is built once per (dimension, universe) and cached.
+is built once per distinct universe and cached.
 
 Compatibility contract: a :class:`Dataset` is itself a
 ``Mapping[str, Footprint]`` over the *source* footprints, so every
@@ -20,10 +20,13 @@ floating-point results bit-for-bit identical (see
 
 from __future__ import annotations
 
+import copy
 from collections.abc import Mapping as MappingABC
 from dataclasses import dataclass
 from typing import (Dict, Iterable, Iterator, List, Mapping, Optional,
                     Tuple, Union)
+
+import numpy as np
 
 from ..analysis.footprint import Footprint
 from ..packages.popcon import PopularityContest
@@ -32,7 +35,7 @@ from .bitset import DIMENSION_INDEX, BitsetFootprint
 from .dimensions import (DIMENSION_ORDER, FOOTPRINT_FIELDS,
                          NAMESPACE_PREFIXES, split_namespaced)
 from .graph import CondensedDependencyGraph
-from .interner import ApiInterner, iter_bits
+from .interner import ApiInterner
 
 
 class ApiSpace:
@@ -222,17 +225,31 @@ class Dataset(MappingABC):
                 raise ValueError("bitsets do not match packages")
         self.popcon = popcon
         self.repository = repository
-        # Lazy caches.  All are pure functions of the fields above, so
-        # sharing them across rebound copies is safe.
+        self._init_caches()
+
+    def _init_caches(self) -> None:
+        """Empty every lazy cache.
+
+        All are pure functions of the fields set in ``__init__``.
+        ``_weights``, ``_weight_by_name`` and ``_importance`` read
+        popcon and ``_graphs`` reads the repository; :meth:`rebound`
+        copies share every other cache.
+        """
         self._weights: Optional[Tuple[float, ...]] = None
         self._weight_by_name: Optional[Dict[str, float]] = None
         self._masks: Dict[str, List[int]] = {}
         self._bit_counts: Dict[str, List[int]] = {}
         self._universe_ids: Dict[Tuple[str, bool], List[int]] = {}
+        # (dimension, ignore_empty) -> the key naming its universe's id
+        # set; equal sets share one key (see condensed_graph).
+        self._universe_keys: Dict[Tuple[str, bool], Tuple[str, bool]] = {}
+        self._distinct_universes: Dict[Tuple[int, ...],
+                                       Tuple[str, bool]] = {}
         self._users: Dict[str, List[List[int]]] = {}
         self._importance: Dict[str, Dict[str, float]] = {}
         self._usage: Dict[Tuple[str, bool], Dict[str, float]] = {}
-        self._graphs: Dict[Tuple[str, bool, bool],
+        self._graphs: Dict[Tuple[Tuple[str, bool],
+                                 Optional[Tuple[str, bool]]],
                            CondensedDependencyGraph] = {}
 
     # --- Mapping[str, Footprint] protocol -------------------------------
@@ -310,12 +327,31 @@ class Dataset(MappingABC):
         cached = self._universe_ids.get(key)
         if cached is None:
             if ignore_empty:
-                cached = [i for i, mask in enumerate(self.masks(dimension))
-                          if mask]
+                used = np.zeros(len(self.packages), dtype=bool)
+                for dim in (DIMENSION_ORDER if dimension == "all"
+                            else (dimension,)):
+                    used |= self._mask_rows(dim).any(axis=1)
+                cached = self._package_ids()[used].tolist()
             else:
-                cached = list(range(len(self.packages)))
+                cached = list(self.package_index.values())
             self._universe_ids[key] = cached
         return cached
+
+    def _universe_key(self, dimension: str,
+                      ignore_empty: bool) -> Tuple[str, bool]:
+        """Names ``universe_ids(dimension, ignore_empty)`` by the first
+        ``(dimension, ignore_empty)`` seen with the same package ids,
+        so equal universes share one key.  Memoized, so every call
+        after the first is O(1)."""
+        key = (dimension, ignore_empty)
+        named = self._universe_keys.get(key)
+        if named is None:
+            # One atomic setdefault: concurrent first calls for equal
+            # universes agree on the key, unequal ones never share it.
+            named = self._distinct_universes.setdefault(
+                tuple(self.universe_ids(dimension, ignore_empty)), key)
+            self._universe_keys[key] = named
+        return named
 
     def empty_names(self, dimension: str) -> frozenset:
         """Packages with an empty footprint in ``dimension`` — the
@@ -326,20 +362,45 @@ class Dataset(MappingABC):
 
     # --- derived tables -------------------------------------------------
 
-    def users_index(self, dimension: str) -> List[List[int]]:
-        """api id -> package ids using it, in package order.
+    def _package_ids(self) -> np.ndarray:
+        """The ``package_index`` int objects as an object array:
+        indexing it hands out those shared ints instead of allocating
+        one per entry, as ``tolist()`` on an index array would."""
+        return np.array(list(self.package_index.values()), dtype=object)
 
-        The per-API package order matches the legacy
-        ``dependents_index`` lists exactly (both append while scanning
-        packages in mapping order), which keeps importance products
-        bit-for-bit identical.
+    def _mask_rows(self, dimension: str) -> np.ndarray:
+        """Per-package masks of one dimension (not ``"all"``) as packed
+        little-endian rows: a ``uint8`` array of shape
+        ``(packages, ceil(size / 8))``."""
+        row_bytes = (self.space.size(dimension) + 7) // 8
+        packed = b"".join(mask.to_bytes(row_bytes, "little")
+                          for mask in self.masks(dimension))
+        return np.frombuffer(packed, dtype=np.uint8).reshape(
+            len(self.packages), row_bytes)
+
+    def users_index(self, dimension: str) -> List[List[int]]:
+        """api id -> package ids using it, in ascending package order.
+
+        Package order matches the legacy ``dependents_index`` lists
+        exactly (both follow the input mapping order), which keeps
+        importance products bit-for-bit identical.  Built column by
+        column from the packed mask rows.  Every list holds the
+        ``package_index`` int objects, so the index costs one pointer
+        per entry.  ``"all"`` concatenates the per-dimension indexes,
+        matching its id layout.
         """
         cached = self._users.get(dimension)
         if cached is None:
-            cached = [[] for _ in range(self.space.size(dimension))]
-            for pkg_id, mask in enumerate(self.masks(dimension)):
-                for api_id in iter_bits(mask):
-                    cached[api_id].append(pkg_id)
+            if dimension == "all":
+                cached = [users for dim in DIMENSION_ORDER
+                          for users in self.users_index(dim)]
+            else:
+                bits = np.unpackbits(self._mask_rows(dimension), axis=1,
+                                     count=self.space.size(dimension),
+                                     bitorder="little")
+                ids = self._package_ids()
+                cached = [ids[np.flatnonzero(column)].tolist()
+                          for column in np.ascontiguousarray(bits.T)]
             self._users[dimension] = cached
         return cached
 
@@ -407,11 +468,20 @@ class Dataset(MappingABC):
         ``assume_trivial`` treats empty-footprint packages as always
         supported (the completeness-curve convention; weighted
         completeness with ``ignore_empty=False`` assumes nothing).
+
+        The cache key names what the graph reads — the universe's
+        package ids and the assumed set (the complement of the
+        dimension's non-empty universe) — so dimensions with identical
+        universes share one graph.  The repository is the third input:
+        :meth:`rebound` onto another repository starts an empty graph
+        cache.
         """
         if self.repository is None:
             raise ValueError("this Dataset was built without a "
                              "Repository; dependency closure needs one")
-        key = (dimension, ignore_empty, assume_trivial)
+        key = (self._universe_key(dimension, ignore_empty),
+               self._universe_key(dimension, True) if assume_trivial
+               else None)
         cached = self._graphs.get(key)
         if cached is None:
             universe = [self.packages[i]
@@ -428,28 +498,24 @@ class Dataset(MappingABC):
 
     def rebound(self, popcon: Optional[PopularityContest],
                 repository: Optional[Repository]) -> "Dataset":
-        """A Dataset over the same footprints with different popcon /
-        repository, sharing every cache the change does not invalidate."""
-        clone: Dataset = Dataset.__new__(Dataset)
-        clone._footprints = self._footprints
-        clone.packages = self.packages
-        clone.package_index = self.package_index
-        clone.space = self.space
-        clone.bitsets = self.bitsets
+        """A shallow copy over the same footprints with different
+        popcon / repository.
+
+        The copy is the same class as ``self`` and materializes
+        nothing: a :class:`repro.store.SnapshotDataset` clone stays
+        lazy over the same buffer.  Only the caches that read a changed
+        input are reset (see :meth:`_init_caches`); every other cache
+        is shared.
+        """
+        clone = copy.copy(self)
         clone.popcon = popcon
         clone.repository = repository
-        clone._masks = self._masks
-        clone._bit_counts = self._bit_counts
-        clone._universe_ids = self._universe_ids
-        clone._users = self._users
-        clone._usage = self._usage
-        same_popcon = popcon is self.popcon
-        clone._weights = self._weights if same_popcon else None
-        clone._weight_by_name = (self._weight_by_name if same_popcon
-                                 else None)
-        clone._importance = self._importance if same_popcon else {}
-        clone._graphs = (self._graphs
-                         if repository is self.repository else {})
+        if popcon is not self.popcon:
+            clone._weights = None
+            clone._weight_by_name = None
+            clone._importance = {}
+        if repository is not self.repository:
+            clone._graphs = {}
         return clone
 
     # --- stats ----------------------------------------------------------

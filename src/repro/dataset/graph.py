@@ -39,12 +39,10 @@ rescue that supports any mutually-consistent residue at once.  Flat
 corpora have no OR edges, so every super-component is a singleton and
 the rescue machinery never engages.
 
-This used to live inside ``repro.metrics.ranking._SupportTracker``,
-rebuilt (Tarjan included) on every curve evaluation.  It is split
-here into the immutable :class:`CondensedDependencyGraph` — which the
-:class:`repro.dataset.Dataset` facade caches per (dimension,
-universe) — and the cheap mutable :class:`SupportTracker` state that
-each curve run spawns from it.
+The work is split into the immutable :class:`CondensedDependencyGraph`
+(Tarjan included) — which the :class:`repro.dataset.Dataset` facade
+caches per distinct universe — and the cheap mutable
+:class:`SupportTracker` state that each curve run spawns from it.
 """
 
 from __future__ import annotations

@@ -11,21 +11,16 @@ this module does, with a parametric bootstrap:
 * report per-API confidence intervals and which APIs' *band*
   (indispensable / mid / low) is unstable under sampling noise.
 
-Uses numpy for the vectorized resampling; a pure-Python fallback
-keeps the module importable without it.
+Uses numpy for the vectorized resampling.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is normally present
-    _np = None
+import numpy as np
 
 from ..analysis.footprint import Footprint
 from ..dataset.core import Dataset, FootprintsLike
@@ -66,21 +61,10 @@ def _resample_probabilities(probabilities: Sequence[float],
                             total: int, n_boot: int,
                             seed: int) -> List[List[float]]:
     """``n_boot`` parametric resamples of the installation rates."""
-    if _np is not None:
-        rng = _np.random.default_rng(seed)
-        p = _np.asarray(probabilities)
-        draws = rng.binomial(total, p, size=(n_boot, len(p)))
-        return (draws / total).tolist()
-    rng = random.Random(seed)
-    out = []
-    for _ in range(n_boot):
-        row = []
-        for p in probabilities:
-            # normal approximation to the binomial is fine here
-            sd = math.sqrt(max(p * (1 - p) / total, 0.0))
-            row.append(min(1.0, max(0.0, rng.gauss(p, sd))))
-        out.append(row)
-    return out
+    rng = np.random.default_rng(seed)
+    p = np.asarray(probabilities)
+    draws = rng.binomial(total, p, size=(n_boot, len(p)))
+    return (draws / total).tolist()
 
 
 def bootstrap_importance(

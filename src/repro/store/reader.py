@@ -13,7 +13,9 @@ name→id resolution.  Everything per-package stays bytes until touched:
 * a package's :class:`repro.analysis.footprint.Footprint` materializes
   on first ``dataset[name]`` access;
 * ``bitsets`` (the interned rows as objects) materialize only for
-  code that iterates them — the mask columns above never do.
+  code that iterates them — the mask columns above never do;
+* the users index and universe ids are built straight from the packed
+  MSK rows, without going through the mask column.
 
 A :class:`SnapshotDataset` is a real :class:`repro.dataset.Dataset`:
 same Mapping contract, same lazy caches, bit-identical metric results
@@ -28,6 +30,8 @@ import json
 import mmap
 import pathlib
 from typing import Dict, Iterator, List, Optional, Tuple
+
+import numpy as np
 
 from ..analysis.footprint import Footprint
 from ..dataset.bitset import BitsetFootprint
@@ -55,8 +59,9 @@ class SnapshotDataset(Dataset):
     and are memoized in the same caches the eager class uses, so a
     warmed-up ``SnapshotDataset`` is indistinguishable from an eager
     one.  ``rebound`` (and therefore :func:`repro.dataset.as_dataset`)
-    materializes everything first — the clone is a plain eager
-    :class:`Dataset` with no tie to the underlying buffer.
+    materializes nothing: the clone is another lazy
+    ``SnapshotDataset`` over the same buffer, sharing every cache that
+    reads neither popcon nor the repository.
     """
 
     def __init__(self, packages: Tuple[str, ...], space: ApiSpace,
@@ -85,16 +90,7 @@ class SnapshotDataset(Dataset):
         self._bitsets: Optional[List[BitsetFootprint]] = None
         # Keeps the mmap/file objects alive as long as the dataset is.
         self._resources = resources
-        # Same lazy caches as Dataset.__init__.
-        self._weights = None
-        self._weight_by_name = None
-        self._masks: Dict[str, List[int]] = {}
-        self._bit_counts: Dict[str, List[int]] = {}
-        self._universe_ids: Dict[Tuple[str, bool], List[int]] = {}
-        self._users: Dict[str, List[List[int]]] = {}
-        self._importance: Dict[str, Dict[str, float]] = {}
-        self._usage: Dict[Tuple[str, bool], Dict[str, float]] = {}
-        self._graphs: Dict[Tuple[str, bool, bool], object] = {}
+        self._init_caches()
 
     # --- lazy materialization -------------------------------------------
 
@@ -126,6 +122,15 @@ class SnapshotDataset(Dataset):
             self._masks[dimension] = cached
         return cached
 
+    def _mask_rows(self, dimension: str) -> np.ndarray:
+        # The MSK section already holds the packed rows: view them in
+        # place instead of packing the materialized mask column.
+        offset, row_bytes = self._mask_slices[dimension]
+        count = len(self.packages)
+        return np.frombuffer(self._buffer, dtype=np.uint8,
+                             count=count * row_bytes,
+                             offset=offset).reshape(count, row_bytes)
+
     @property
     def bitsets(self) -> List[BitsetFootprint]:
         if self._bitsets is None:
@@ -153,14 +158,6 @@ class SnapshotDataset(Dataset):
 
     def __len__(self) -> int:
         return len(self.packages)
-
-    def rebound(self, popcon, repository) -> Dataset:
-        # The base implementation hands our caches to a plain Dataset
-        # clone; materialize them first so the clone is complete.
-        for name in self.packages:
-            self[name]
-        _ = self.bitsets
-        return super().rebound(popcon, repository)
 
     def __repr__(self) -> str:
         loaded = sorted(dim for dim in self._masks if dim != "all")

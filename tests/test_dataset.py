@@ -254,6 +254,117 @@ class TestCondensedGraph:
             graph.tracker().mark_satisfied("editor")
 
 
+def _twin_corpus(libc_gap: bool):
+    """syscall and libc universes coincide unless ``libc_gap`` leaves
+    ``tool`` empty in libc only."""
+    footprints = {
+        "editor": Footprint.build(syscalls=["read", "write", "open"],
+                                  libc_symbols=["printf", "malloc"]),
+        "daemon": Footprint.build(syscalls=["read", "accept"],
+                                  libc_symbols=["malloc"]),
+        "tool": Footprint.build(
+            syscalls=["read", "write"],
+            libc_symbols=[] if libc_gap else ["printf"]),
+        "doc-pack": Footprint.EMPTY,
+    }
+    popcon = PopularityContest(1000, {
+        "editor": 800, "daemon": 150, "tool": 420, "doc-pack": 90})
+    repository = Repository([
+        Package("editor", depends=["doc-pack"]),
+        Package("daemon", depends=["editor"]),
+        Package("tool", depends=["editor"]),
+        Package("doc-pack"),
+    ])
+    return footprints, popcon, repository
+
+
+class TestGraphCacheKey:
+    def _assert_curves_match_reference(self, dataset, footprints,
+                                       popcon, repository):
+        from repro.metrics import completeness_curve
+        for dimension in ("syscall", "libc"):
+            assert completeness_curve(dataset, dimension=dimension) == \
+                reference.completeness_curve(footprints, popcon,
+                                             repository,
+                                             dimension=dimension)
+
+    def test_identical_universes_share_one_graph(self):
+        footprints, popcon, repository = _twin_corpus(libc_gap=False)
+        dataset = Dataset(footprints, popcon, repository)
+        assert dataset.condensed_graph("libc") is \
+            dataset.condensed_graph("syscall")
+        self._assert_curves_match_reference(dataset, footprints,
+                                            popcon, repository)
+
+    def test_universe_differing_in_one_package_gets_its_own_graph(self):
+        footprints, popcon, repository = _twin_corpus(libc_gap=True)
+        dataset = Dataset(footprints, popcon, repository)
+        assert dataset.condensed_graph("libc") is not \
+            dataset.condensed_graph("syscall")
+        self._assert_curves_match_reference(dataset, footprints,
+                                            popcon, repository)
+
+    def test_assumed_set_is_part_of_the_key(self):
+        footprints, popcon, repository = _twin_corpus(libc_gap=True)
+        dataset = Dataset(footprints, popcon, repository)
+        assert dataset.condensed_graph(
+            "syscall", ignore_empty=False, assume_trivial=True) is not \
+            dataset.condensed_graph(
+                "syscall", ignore_empty=False, assume_trivial=False)
+        assert dataset.condensed_graph(
+            "syscall", ignore_empty=False, assume_trivial=True) is not \
+            dataset.condensed_graph(
+                "libc", ignore_empty=False, assume_trivial=True)
+
+    def test_rebound_onto_other_repository_never_reuses_a_graph(self):
+        footprints, popcon, repository = _twin_corpus(libc_gap=False)
+        dataset = Dataset(footprints, popcon, repository)
+        graph = dataset.condensed_graph("syscall")
+        other = Repository([Package("editor"),
+                            Package("daemon", depends=["tool"]),
+                            Package("tool", depends=["ghost-dep"]),
+                            Package("doc-pack")])
+        clone = dataset.rebound(popcon, other)
+        assert clone.condensed_graph("syscall") is not graph
+        assert clone.condensed_graph("libc") is not graph
+        assert dataset.condensed_graph("libc") is graph
+        self._assert_curves_match_reference(clone, footprints, popcon,
+                                            other)
+        same = dataset.rebound(PopularityContest(1000, {"tool": 5}),
+                               repository)
+        assert same.condensed_graph("syscall") is graph
+
+    def test_concurrent_first_calls_keep_unequal_universes_apart(self):
+        import sys
+        import threading
+        footprints, popcon, repository = _twin_corpus(libc_gap=True)
+        dimensions = ("syscall", "libc") * 4
+        expected = {
+            dim: set(Dataset(footprints, popcon, repository)
+                     .condensed_graph(dim).component_of)
+            for dim in ("syscall", "libc")}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(30):
+                dataset = Dataset(footprints, popcon, repository)
+                results = []
+                threads = [threading.Thread(
+                    target=lambda dim=dim: results.append(
+                        (dim, dataset.condensed_graph(dim))))
+                    for dim in dimensions]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=10)
+                assert not any(thread.is_alive() for thread in threads)
+                assert len(results) == len(dimensions)
+                for dim, graph in results:
+                    assert set(graph.component_of) == expected[dim]
+        finally:
+            sys.setswitchinterval(interval)
+
+
 class TestCodec:
     def test_roundtrip_exact(self):
         footprints, popcon, repository = _corpus()

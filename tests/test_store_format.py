@@ -18,7 +18,7 @@ Three promises are pinned here:
 
 import pytest
 
-from repro.dataset import (Dataset, DatasetCodecError,
+from repro.dataset import (DatasetCodecError,
                            dataset_to_json, footprints_fingerprint)
 from repro.engine import AnalysisCache
 from repro.engine.errors import classify_exception
@@ -113,14 +113,32 @@ class TestLazyMaterialization:
         for name in corpus.dataset.packages:
             assert loaded[name] == corpus.dataset[name]
 
-    def test_rebound_yields_complete_eager_clone(self, corpus,
-                                                 snapshot_bytes):
+    def test_rebound_yields_lazy_clone(self, corpus, snapshot_bytes):
         loaded = load_snapshot_bytes(snapshot_bytes)
+        loaded.users_index("syscall")
+        loaded.importance_table("syscall")
+        loaded.condensed_graph("syscall")
         clone = loaded.rebound(corpus.popcon, corpus.repository)
-        assert not isinstance(clone, SnapshotDataset)
-        assert isinstance(clone, Dataset)
-        assert dict(clone) == dict(corpus.dataset)
+        assert isinstance(clone, SnapshotDataset)
+        assert clone._footprints == {}
+        assert loaded._footprints == {}
         assert clone.popcon is corpus.popcon
+        assert clone.repository is corpus.repository
+        assert clone.popcon is not loaded.popcon
+        assert clone.repository is not loaded.repository
+        # Caches that read popcon or the repository start empty ...
+        assert clone._weights is None
+        assert clone._importance == {} and loaded._importance
+        assert clone._graphs == {} and loaded._graphs
+        # ... and the ones that read neither are shared.
+        for cache in ("_masks", "_bit_counts", "_universe_ids",
+                      "_universe_keys", "_users", "_usage"):
+            assert getattr(clone, cache) is getattr(loaded, cache)
+        assert clone.users_index("syscall") is \
+            loaded.users_index("syscall")
+        assert dict(clone) == dict(corpus.dataset)
+        assert (clone.importance_table("syscall")
+                == corpus.dataset.importance_table("syscall"))
 
 
 class TestCorruption:
