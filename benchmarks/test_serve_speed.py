@@ -34,7 +34,7 @@ import sys
 import threading
 import time
 
-from repro.serve import (ServeApp, ServeServer, SnapshotHolder,
+from repro.serve import (ServeApp, SnapshotHolder, ThreadingTransport,
                          WorkerSupervisor)
 
 _REQUIRED_THROUGHPUT_RATIO = 20.0
@@ -105,7 +105,7 @@ def test_serve_speed(study, output_dir, save):
                    cache_entries=256)
     cli_seconds = _cli_invocation_seconds()
 
-    with ServeServer(app, port=0) as server:
+    with ThreadingTransport(app, port=0) as server:
         conn = http.client.HTTPConnection(server.host, server.port,
                                           timeout=30)
         # Warm the result cache: first touch of each query computes.

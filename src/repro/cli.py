@@ -495,15 +495,15 @@ def _serve(study: Optional[Study], args: argparse.Namespace) -> int:
     if args.workers > 1:
         return _serve_multiworker(study, args, tenants)
 
-    from .serve import (ServeApp, ServeServer, SnapshotHolder,
-                        SnapshotRegistry, holder_from_file)
+    from .serve import (ServeApp, SnapshotHolder, SnapshotRegistry,
+                        ThreadingTransport)
     if args.series is not None:
         registry = SnapshotRegistry.from_files(args.series,
                                                tenants=tenants)
     else:
         registry = SnapshotRegistry.of(SnapshotHolder(study.dataset))
         for name, path in tenants.items():
-            registry.add(name, holder_from_file(path))
+            registry.add(name, SnapshotHolder.from_file(path))
     app = ServeApp(
         registry,
         cache_entries=args.cache_entries,
@@ -513,8 +513,8 @@ def _serve(study: Optional[Study], args: argparse.Namespace) -> int:
         deadline_seconds=(args.deadline_ms / 1000.0
                           if args.deadline_ms > 0 else None),
         allow_reload=not args.no_reload)
-    server = ServeServer(app, host=args.host, port=args.port,
-                         quiet=True)
+    server = ThreadingTransport(app, host=args.host, port=args.port,
+                                quiet=True)
     # Handler before the announce line: anyone scripting against the
     # announce may signal immediately after reading it, and the
     # default disposition would kill us mid-boot.

@@ -30,13 +30,11 @@ mapping's content fingerprint under ::
 
 A warm study run that replays the same corpus mmaps the snapshot and
 materializes masks lazily (:mod:`repro.store`) instead of re-interning
-every footprint.  Snapshots written by older releases in the JSON
-codec format (``<fp>.json``) still load — the binary path is probed
-first, then the legacy path.  Either way a version-mismatched or torn
-snapshot reads as a miss and is dropped
-(:class:`repro.store.StoreError` subclasses
-:class:`repro.dataset.codec.DatasetCodecError`, so one handler covers
-both formats).
+every footprint.  A missing, version-mismatched or torn snapshot reads
+as a miss (the latter two are dropped); the cache is content-addressed,
+so a miss just re-interns.  Files at any other address — such as a
+JSON snapshot at ``<fp>.json`` — are never read, only counted and
+cleared by the maintenance sweep.
 """
 
 from __future__ import annotations
@@ -48,7 +46,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Union
 
-from ..dataset.codec import DatasetCodecError, dataset_from_json
+from ..dataset.codec import DatasetCodecError
 from ..dataset.core import Dataset
 from ..obs import MetricsRegistry
 from ..packages.popcon import PopularityContest
@@ -170,14 +168,9 @@ class AnalysisCache:
         return self.version_dir / sha256[:2] / f"{sha256}.json"
 
     def _dataset_path(self, fingerprint: str) -> pathlib.Path:
-        """The primary (binary ``.rsnap``) snapshot address."""
+        """The (binary ``.rsnap``) snapshot address."""
         return (self.version_dir / "datasets" / fingerprint[:2]
                 / f"{fingerprint}.rsnap")
-
-    def _json_dataset_path(self, fingerprint: str) -> pathlib.Path:
-        """Legacy JSON snapshot address (read fallback only)."""
-        return (self.version_dir / "datasets" / fingerprint[:2]
-                / f"{fingerprint}.json")
 
     def _observe(self, metric: str, seconds: float) -> None:
         if self.metrics is not None:
@@ -280,48 +273,21 @@ class AnalysisCache:
                      repository: Optional[Repository],
                      ) -> Optional[Dataset]:
         path = self._dataset_path(fingerprint)
-        if path.exists():
-            try:
-                dataset = load_snapshot(path, popcon, repository)
-            except DatasetCodecError:
-                # StoreError subclasses DatasetCodecError: any failed
-                # integrity check — torn write, bit rot, stale format
-                # version — reads as a miss and drops the entry.
-                self.stats.invalid += 1
-                self.stats.dataset_misses += 1
-                try:
-                    path.unlink()
-                except OSError:
-                    pass
-                return None
-            except OSError:
-                self.stats.dataset_misses += 1
-                return None
-            self.stats.dataset_hits += 1
-            return dataset
-        return self._get_legacy_dataset(fingerprint, popcon,
-                                        repository)
-
-    def _get_legacy_dataset(self, fingerprint: str,
-                            popcon: Optional[PopularityContest],
-                            repository: Optional[Repository],
-                            ) -> Optional[Dataset]:
-        """Fallback read of a pre-``.rsnap`` JSON snapshot."""
-        path = self._json_dataset_path(fingerprint)
         try:
-            text = path.read_text(encoding="utf-8")
-        except OSError:
-            self.stats.dataset_misses += 1
-            return None
-        try:
-            dataset = dataset_from_json(text, popcon, repository)
+            dataset = load_snapshot(path, popcon, repository)
         except DatasetCodecError:
+            # StoreError subclasses DatasetCodecError: any failed
+            # integrity check — torn write, bit rot, stale format
+            # version — reads as a miss and drops the entry.
             self.stats.invalid += 1
             self.stats.dataset_misses += 1
             try:
                 path.unlink()
             except OSError:
                 pass
+            return None
+        except OSError:
+            self.stats.dataset_misses += 1
             return None
         self.stats.dataset_hits += 1
         return dataset
@@ -345,9 +311,7 @@ class AnalysisCache:
             return
         for path in sorted(self.root.glob("v*/??/*.json")):
             yield path
-        for path in sorted(self.root.glob("v*/datasets/??/*.json")):
-            yield path
-        for path in sorted(self.root.glob("v*/datasets/??/*.rsnap")):
+        for path in sorted(self.root.glob("v*/datasets/??/*")):
             yield path
 
     def entry_count(self) -> int:

@@ -22,9 +22,10 @@ from typing import List, Sequence, Tuple
 
 from ..dataset.codec import footprints_fingerprint
 from ..dataset.core import ApiSpace, Dataset, as_dataset
+from ..store.format import encode_file
 from ..store.writer import snapshot_to_bytes
-from .format import (MAX_RELEASES, ReleaseDelta, delta_between,
-                     delta_tag, encode_delta, encode_series_file)
+from .format import (MAX_RELEASES, SERIES, delta_between, delta_tag,
+                     encode_delta)
 
 
 def series_fingerprint_of(fingerprints: Sequence[str]) -> str:
@@ -97,8 +98,8 @@ def series_to_bytes(releases: Sequence) -> bytes:
         delta = delta_between(datasets[release - 1], datasets[release])
         sections.append((delta_tag(release),
                          encode_delta(delta, space)))
-    return encode_series_file(series_fingerprint_of(fingerprints),
-                              sections)
+    return encode_file(series_fingerprint_of(fingerprints), sections,
+                       SERIES)
 
 
 def build_series(releases: Sequence):

@@ -16,9 +16,7 @@ object is left exactly as it was.
 
 from __future__ import annotations
 
-import io
 import json
-import mmap
 import pathlib
 from typing import Dict, List, Optional, Tuple
 
@@ -29,11 +27,11 @@ from ..dataset.dimensions import DIMENSION_ORDER, FOOTPRINT_FIELDS
 from ..packages.package import Package
 from ..packages.popcon import PopularityContest
 from ..packages.repository import Repository
-from ..store.errors import StoreLayoutError, StoreTruncatedError
-from ..store.format import SnapshotHeader
+from ..store.errors import StoreLayoutError
+from ..store.format import SnapshotHeader, decode_header, load_file
 from ..store.reader import load_snapshot_bytes
-from .format import (MAX_RELEASES, SERIES_MAGIC, ReleaseDelta,
-                     decode_delta, decode_series_header, delta_tag)
+from .format import (MAX_RELEASES, SERIES, SERIES_MAGIC, ReleaseDelta,
+                     decode_delta, delta_tag)
 
 
 def sniff_series(head: bytes) -> bool:
@@ -71,7 +69,7 @@ class DatasetSeries:
     """
 
     def __init__(self, data, resources: Tuple = ()) -> None:
-        header = decode_series_header(data)
+        header = decode_header(data, SERIES)
         self._data = data
         self._header = header
         self._resources = resources
@@ -406,30 +404,10 @@ def load_series_bytes(data, resources: Tuple = ()) -> DatasetSeries:
 def load_series(path) -> DatasetSeries:
     """mmap ``path`` read-only and load it lazily.
 
-    Falls back to a plain read where mapping is unsupported, exactly
-    like :func:`repro.store.load_snapshot`.
+    Opens through :func:`repro.store.format.load_file`, exactly like
+    :func:`repro.store.load_snapshot`.
     """
-    target = pathlib.Path(path)
-    handle = open(target, "rb")
-    try:
-        size = target.stat().st_size
-        if size == 0:
-            raise StoreTruncatedError(f"{target} is empty")
-        try:
-            mapped = mmap.mmap(handle.fileno(), 0,
-                               access=mmap.ACCESS_READ)
-        except (OSError, ValueError, io.UnsupportedOperation):
-            data = handle.read()
-            return load_series_bytes(data)
-    except BaseException:
-        handle.close()
-        raise
-    try:
-        return load_series_bytes(mapped, resources=(mapped, handle))
-    except BaseException:
-        mapped.close()
-        handle.close()
-        raise
+    return load_file(path, load_series_bytes)
 
 
 def series_info(path) -> Dict[str, object]:

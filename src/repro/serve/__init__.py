@@ -9,8 +9,9 @@ warm behind an HTTP API and answers those queries in microseconds:
 
 * :mod:`repro.serve.app` — framework-free request core: router,
   versioned JSON envelope, error taxonomy mapping;
-* :mod:`repro.serve.server` — ``ThreadingHTTPServer`` transport with
-  graceful shutdown and ``/healthz`` / ``/readyz`` probes;
+* :mod:`repro.serve.server` — :class:`ThreadingTransport`, the
+  ``ThreadingHTTPServer`` transport with graceful shutdown and
+  ``/healthz`` / ``/readyz`` probes;
 * :mod:`repro.serve.endpoints` — the query surface, delegating to the
   exact :mod:`repro.metrics` / :mod:`repro.compat` entry points the
   CLI uses, so served results are bit-identical to batch results;
@@ -18,10 +19,11 @@ warm behind an HTTP API and answers those queries in microseconds:
   dataset fingerprint + canonical query;
 * :mod:`repro.serve.admission` — bounded-concurrency admission control
   (429 + ``Retry-After`` under saturation) and per-request deadlines;
-* :mod:`repro.serve.snapshot` — RCU-style atomic hot reload of the
-  dataset with zero dropped in-flight requests, plus the multi-tenant
-  :class:`SnapshotRegistry` and the :class:`SeriesHolder` that
-  publishes a whole release train for ``?release=`` time travel;
+* :mod:`repro.serve.snapshot` — the :class:`SnapshotHolder`:
+  RCU-style atomic hot reload of one tenant's dataset, or of a whole
+  release train for ``?release=`` time travel, with zero dropped
+  in-flight requests; plus the multi-tenant
+  :class:`SnapshotRegistry`;
 * :mod:`repro.serve.workers` — pre-fork multi-worker serving: a
   supervisor binds one address, N worker processes mmap the same
   ``.rsnap`` snapshot, crashes restart with backoff, and SIGHUP fans
@@ -39,10 +41,9 @@ from .endpoints import (ENDPOINTS, ENDPOINTS_BY_NAME, BadRequestError,
                         Endpoint, MethodNotAllowedError, NotFoundError,
                         ServeRequestError)
 from .qcache import QueryCache, canonical_query_key
-from .server import ServeServer, ThreadingTransport, reuse_port_available
+from .server import ThreadingTransport, reuse_port_available
 from .snapshot import (DEFAULT_TENANT, DatasetSnapshot, ResolvedTarget,
-                       SeriesHolder, SeriesSnapshot, SnapshotHolder,
-                       SnapshotRegistry, holder_from_file)
+                       SeriesSnapshot, SnapshotHolder, SnapshotRegistry)
 from .workers import WorkerSettings, WorkerSupervisor, default_mode
 
 __all__ = [
@@ -64,11 +65,9 @@ __all__ = [
     "Response",
     "SERVE_SCHEMA",
     "SERVE_SCHEMA_VERSION",
-    "SeriesHolder",
     "SeriesSnapshot",
     "ServeApp",
     "ServeRequestError",
-    "ServeServer",
     "SnapshotHolder",
     "SnapshotRegistry",
     "ThreadingTransport",
@@ -77,6 +76,5 @@ __all__ = [
     "canonical_json",
     "canonical_query_key",
     "default_mode",
-    "holder_from_file",
     "reuse_port_available",
 ]

@@ -131,9 +131,8 @@ _STATUS_FOR_ANALYSIS_CLASS = {
 class ServeApp:
     """The request pipeline over published snapshots.
 
-    ``source`` is a single holder (:class:`SnapshotHolder` or
-    :class:`SeriesHolder`, registered as the ``default`` tenant) or a
-    pre-built :class:`SnapshotRegistry`.  Requests pick their tenant
+    ``source`` is a single :class:`SnapshotHolder` (registered as the
+    ``default`` tenant) or a pre-built :class:`SnapshotRegistry`.  Requests pick their tenant
     with ``?tenant=`` and — against a series tenant — their release
     with ``?release=`` (defaulting to the head release); series-scope
     endpoints (``/v1/trend/*``, ``/v1/release/diff``,

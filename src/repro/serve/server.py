@@ -25,10 +25,9 @@ the two socket arrangements the pre-fork supervisor
 so clients, tests, and load-gen tools can tell which process answered
 without disturbing the response body (parity stays byte-exact).
 
-:class:`ServeServer` is the original single-process name and remains
-the default transport; ``start()`` spawns the accept loop on a
-background thread (tests drive this), while ``serve_forever()`` runs
-it in the foreground; on ``KeyboardInterrupt`` the socket closes and
+It is also the single-process transport: ``start()`` spawns the
+accept loop on a background thread (tests drive this), while
+``serve_forever()`` runs it in the foreground; on ``KeyboardInterrupt`` the socket closes and
 in-flight handler threads are joined, then the interrupt propagates so
 the CLI can exit 130 without a traceback.
 """
@@ -321,7 +320,3 @@ class ThreadingTransport:
     def __exit__(self, exc_type, exc, tb) -> bool:
         self.stop()
         return False
-
-
-class ServeServer(ThreadingTransport):
-    """The single-process transport, under its original name."""

@@ -1,4 +1,4 @@
-"""RCU-style snapshot holders and the multi-tenant registry.
+"""The RCU-style snapshot holder and the multi-tenant registry.
 
 The server holds warm published state and must be able to replace it —
 a re-analyzed corpus, a new release train — without dropping a single
@@ -23,17 +23,23 @@ published (or the load failed and the old one remains authoritative).
 In-flight requests are never affected — readiness gates admission of
 future work, not completion of current work.
 
-Two holder flavors share that discipline via :class:`_RcuHolder`:
+One :class:`SnapshotHolder` keeps that discipline for either kind of
+tenant, fixed when the holder is built:
 
-* :class:`SnapshotHolder` publishes one :class:`repro.dataset.Dataset`.
-  Reload sources are sniffed by their leading bytes: binary ``.rsnap``
-  snapshots (:mod:`repro.store`) open via mmap with lazy mask
-  materialization, and JSON payloads (:mod:`repro.dataset.codec`) take
-  the eager decode path.  Both produce bit-identical served responses.
-* :class:`SeriesHolder` publishes a whole
-  :class:`repro.series.DatasetSeries` — every release of a train at
-  once — so ``?release=`` time-travel queries resolve against one
-  consistent generation.
+* a dataset tenant publishes one :class:`repro.dataset.Dataset` as a
+  :class:`DatasetSnapshot`.  Files are sniffed by their leading bytes:
+  binary ``.rsnap`` snapshots (:mod:`repro.store`) open via mmap with
+  lazy mask materialization, and JSON payloads
+  (:mod:`repro.dataset.codec`) take the eager decode path.  Both
+  produce bit-identical served responses.
+* a series tenant publishes a whole :class:`repro.series.DatasetSeries`
+  — every release of a ``.rser`` train at once — as a
+  :class:`SeriesSnapshot`, so ``?release=`` time-travel queries
+  resolve against one consistent generation.
+
+A reload keeps the tenant's kind: a ``.rser`` file offered to a
+dataset tenant, or anything else offered to a series tenant, fails
+with :class:`repro.store.StoreMagicError` like any corrupt file.
 
 :class:`SnapshotRegistry` maps tenant names to holders.  The
 ``default`` tenant is what un-qualified requests hit; every holder
@@ -52,8 +58,9 @@ from typing import Dict, Iterator, Mapping, Optional, Tuple
 from ..dataset.codec import (dataset_from_json, dataset_to_json,
                              footprints_fingerprint)
 from ..dataset.core import Dataset
-from ..series import load_series, sniff_series
-from ..store import load_snapshot, sniff_format, write_snapshot
+from ..series import DatasetSeries, load_series, sniff_series
+from ..store import (StoreMagicError, load_snapshot, sniff_format,
+                     write_snapshot)
 
 #: Tenant name un-qualified requests resolve against.
 DEFAULT_TENANT = "default"
@@ -85,7 +92,7 @@ class SeriesSnapshot:
     fingerprints in :attr:`release_fingerprints`.
     """
 
-    series: object  # repro.series.DatasetSeries
+    series: DatasetSeries
     fingerprint: str
     generation: int
     loaded_at: float = field(default_factory=time.time)
@@ -111,9 +118,9 @@ class SeriesSnapshot:
     def dataset_at(self, release: int) -> Dataset:
         """Materialize one release, stamped with its provenance.
 
-        The stamp mirrors :func:`_annotate` but adds the release index
-        so ``/dataset/stats`` answers say *which* point of the train
-        they describe.
+        The stamp mirrors :func:`_publish`'s but adds the release
+        index so ``/dataset/stats`` answers say *which* point of the
+        train they describe.
         """
         dataset = self.series.at(release)
         dataset.snapshot_meta = {
@@ -124,54 +131,91 @@ class SeriesSnapshot:
         return dataset
 
 
-def _annotate(snapshot: DatasetSnapshot) -> DatasetSnapshot:
-    """Stamp provenance onto the dataset for ``/dataset/stats``.
-
-    Endpoint payload builders only see the dataset, not the holder, so
-    the snapshot's provenance rides along as an attribute.
-    """
-    snapshot.dataset.snapshot_meta = {
-        "format": snapshot.source_format,
-        "fingerprint": snapshot.fingerprint,
-    }
-    return snapshot
+def _sniff(path) -> str:
+    """``"rser"``, ``"rsnap"`` or ``"json"`` from a file's first bytes."""
+    with open(path, "rb") as handle:
+        head = handle.read(8)
+    return "rser" if sniff_series(head) else sniff_format(head)
 
 
-def _load_dataset_file(path, popcon, repository):
-    """Sniff and load a snapshot file.
+def _load(path, source_format: str, popcon, repository):
+    """Load a sniffed file: ``(dataset or series, fingerprint)``.
 
-    Returns ``(dataset, fingerprint, source_format)``; raises on any
+    An ``.rsnap`` carries its fingerprint (content-derived at write
+    time); JSON is fingerprinted fresh.  ``popcon`` / ``repository``
+    follow the :meth:`repro.dataset.Dataset.rebound` convention
+    (explicit objects override embedded sections).  Raises on any
     corruption or I/O failure without producing a partial dataset.
     """
-    source = pathlib.Path(path)
-    with source.open("rb") as handle:
-        head = handle.read(8)
-    if sniff_format(head) == "rsnap":
-        dataset = load_snapshot(source, popcon, repository)
-        return dataset, dataset.source_fingerprint, "rsnap"
-    text = source.read_text(encoding="utf-8")
+    if source_format == "rser":
+        series = load_series(path)
+        return series, series.series_fingerprint
+    if source_format == "rsnap":
+        dataset = load_snapshot(path, popcon, repository)
+        return dataset, dataset.source_fingerprint
+    text = pathlib.Path(path).read_text(encoding="utf-8")
     dataset = dataset_from_json(text, popcon, repository)
-    return dataset, footprints_fingerprint(dataset), "json"
+    return dataset, footprints_fingerprint(dataset)
 
 
-class _RcuHolder:
-    """Shared single-writer / many-reader publication machinery.
+def _publish(source, fingerprint: Optional[str], generation: int,
+             source_format: str):
+    """The immutable snapshot of a dataset or series at ``generation``."""
+    if isinstance(source, DatasetSeries):
+        return SeriesSnapshot(series=source,
+                              fingerprint=source.series_fingerprint,
+                              generation=generation)
+    if fingerprint is None:
+        fingerprint = footprints_fingerprint(source)
+    # Endpoint payload builders only see the dataset, not the holder,
+    # so the provenance for /dataset/stats rides along on it.
+    source.snapshot_meta = {"format": source_format,
+                            "fingerprint": fingerprint}
+    return DatasetSnapshot(dataset=source, fingerprint=fingerprint,
+                           generation=generation,
+                           source_format=source_format)
 
-    Subclasses provide :meth:`_load` (path + old published state ->
-    new published state) and inherit the lock-free read side, the
-    ready-window bookkeeping, and the failed-reload accounting.
+
+class SnapshotHolder:
+    """Single-writer, many-reader holder of one tenant's snapshot.
+
+    The tenant serves a :class:`repro.dataset.Dataset` or, for
+    time travel, a whole :class:`repro.series.DatasetSeries`:
+    publishing every release of a train as one generation means a
+    request that pins a generation sees the *same* chain for
+    ``?release=0`` and ``?release=9``, even if a reload lands
+    mid-request.
     """
 
-    def __init__(self, current, source_path: Optional[str]) -> None:
-        self._current = current
+    def __init__(self, source, fingerprint: Optional[str] = None, *,
+                 source_format: str = "memory",
+                 source_path: Optional[str] = None) -> None:
+        """Publish ``source`` (a dataset or a series) as generation 1."""
+        self._current = _publish(source, fingerprint, 1, source_format)
         self._ready = True
         self._reload_lock = threading.Lock()
-        #: The file generation 1 was loaded from (or the last file a
-        #: reload succeeded from); ``reload_from_source`` — the
-        #: cross-worker SIGHUP fan-out trigger — re-reads it.
+        #: The file the published generation was loaded from (None
+        #: when built in memory); the SIGHUP reload re-reads it.
         self.source_path = source_path
         self.reloads = 0
         self.failed_reloads = 0
+
+    @classmethod
+    def from_file(cls, path, popcon=None,
+                  repository=None) -> "SnapshotHolder":
+        """Boot a holder from a ``.rser``, ``.rsnap`` or JSON file.
+
+        The kind is sniffed from the file's first bytes.  This is how
+        pre-fork workers start: each worker of a fleet calls this on
+        the same path, so the mmap'd pages are shared through the page
+        cache instead of N eager copies.  ``popcon`` / ``repository``
+        apply to dataset files only.
+        """
+        source_format = _sniff(path)
+        source, fingerprint = _load(path, source_format, popcon,
+                                    repository)
+        return cls(source, fingerprint, source_format=source_format,
+                   source_path=str(path))
 
     # --- reader side ----------------------------------------------------
 
@@ -189,14 +233,15 @@ class _RcuHolder:
 
     # --- writer side ----------------------------------------------------
 
-    def _load(self, path, old):
-        raise NotImplementedError
-
     def reload_from_file(self, path):
         """Load a file and publish it atomically.
 
         In-flight requests keep their snapshot; ``/readyz`` reports
-        not-ready for the duration of the load.  On any failure the old
+        not-ready for the duration of the load.  A dataset tenant
+        carries its current popcon and repository over to the new
+        generation (the payloads persist only interned state — the
+        :meth:`repro.dataset.Dataset.rebound` convention).  On any
+        failure, including a file of the other tenant kind, the old
         snapshot remains current, readiness is restored, and the error
         propagates.
         """
@@ -204,7 +249,21 @@ class _RcuHolder:
             old = self._current
             self._ready = False
             try:
-                snapshot = self._load(path, old)
+                source_format = _sniff(path)
+                serves_series = isinstance(old, SeriesSnapshot)
+                if (source_format == "rser") != serves_series:
+                    raise StoreMagicError(
+                        f"cannot reload a "
+                        f"{'series' if serves_series else 'dataset'} "
+                        f"tenant from a {source_format} file")
+                popcon = repository = None
+                if not serves_series:
+                    popcon = old.dataset.popcon
+                    repository = old.dataset.repository
+                source, fingerprint = _load(path, source_format,
+                                            popcon, repository)
+                snapshot = _publish(source, fingerprint,
+                                    old.generation + 1, source_format)
                 self._current = snapshot
                 self.source_path = str(path)
                 self.reloads += 1
@@ -215,86 +274,22 @@ class _RcuHolder:
             finally:
                 self._ready = True
 
-    def reload_from_source(self):
-        """Re-read the bound source path and publish it.
-
-        The cross-worker reload protocol: the supervisor fans a SIGHUP
-        out to every worker, and each worker re-reads the *same*
-        source path — so fingerprint and format provenance stay
-        identical across the fleet.  Raises ``RuntimeError`` when the
-        holder was built in-memory and never reloaded from a file.
-        """
-        if self.source_path is None:
-            raise RuntimeError(
-                "holder has no source path bound; it was built "
-                "in-memory and never (re)loaded from a file")
-        return self.reload_from_file(self.source_path)
-
-
-class SnapshotHolder(_RcuHolder):
-    """Single-writer, many-reader holder of one current dataset."""
-
-    def __init__(self, dataset: Dataset,
-                 fingerprint: Optional[str] = None, *,
-                 source_format: str = "memory",
-                 source_path: Optional[str] = None) -> None:
-        if fingerprint is None:
-            fingerprint = footprints_fingerprint(dataset)
-        super().__init__(_annotate(DatasetSnapshot(
-            dataset=dataset, fingerprint=fingerprint, generation=1,
-            source_format=source_format)), source_path)
-
-    @classmethod
-    def from_file(cls, path, popcon=None,
-                  repository=None) -> "SnapshotHolder":
-        """Boot a holder directly from a snapshot file.
-
-        This is how pre-fork workers start: each worker of a fleet
-        calls this on the same ``.rsnap`` path, so the mmap'd pages
-        are shared through the page cache instead of N eager copies.
-        ``popcon`` / ``repository`` follow the ``rebound`` convention
-        (explicit objects override embedded sections).
-        """
-        dataset, fingerprint, source_format = _load_dataset_file(
-            path, popcon, repository)
-        return cls(dataset, fingerprint,
-                   source_format=source_format,
-                   source_path=str(path))
-
-    def _load(self, path, old: DatasetSnapshot) -> DatasetSnapshot:
-        """Sniff + decode a snapshot file into the next generation.
-
-        The format is sniffed from the file's first bytes: ``.rsnap``
-        magic takes the mmap'd lazy path (the embedded fingerprint is
-        trusted — it was content-derived at write time), anything else
-        is decoded as a JSON codec payload and fingerprinted fresh.
-        Popcon and repository are carried over from the current
-        snapshot either way (the payloads persist only interned state —
-        the :meth:`repro.dataset.Dataset.rebound` convention).
-        """
-        dataset, fingerprint, source_format = _load_dataset_file(
-            path, old.dataset.popcon, old.dataset.repository)
-        return _annotate(DatasetSnapshot(
-            dataset=dataset, fingerprint=fingerprint,
-            generation=old.generation + 1,
-            source_format=source_format))
-
     def swap_dataset(self, dataset: Dataset,
                      fingerprint: Optional[str] = None,
                      ) -> DatasetSnapshot:
         """Publish an already-built dataset as the new snapshot."""
-        if fingerprint is None:
-            fingerprint = footprints_fingerprint(dataset)
         with self._reload_lock:
-            snapshot = _annotate(DatasetSnapshot(
-                dataset=dataset, fingerprint=fingerprint,
-                generation=self._current.generation + 1))
+            if isinstance(self._current, SeriesSnapshot):
+                raise ValueError("a series tenant cannot publish a "
+                                 "single dataset")
+            snapshot = _publish(dataset, fingerprint,
+                                self._current.generation + 1, "memory")
             self._current = snapshot
             self.reloads += 1
             return snapshot
 
     def export_to_file(self, path, format: str = "json") -> int:
-        """Write the current snapshot in a reloadable format.
+        """Write the current dataset snapshot in a reloadable format.
 
         ``format`` is ``"json"`` (portable codec) or ``"binary"``
         (``.rsnap``); returns the byte count written.
@@ -311,72 +306,18 @@ class SnapshotHolder(_RcuHolder):
 
     def stats(self) -> Dict[str, object]:
         snapshot = self._current
-        return {
+        stats: Dict[str, object] = {
             "generation": snapshot.generation,
             "fingerprint": snapshot.fingerprint,
             "format": snapshot.source_format,
             "packages": snapshot.packages,
-            "ready": self._ready,
-            "reloads": self.reloads,
-            "failed_reloads": self.failed_reloads,
-            "source_path": self.source_path,
         }
-
-
-class SeriesHolder(_RcuHolder):
-    """Single-writer, many-reader holder of one current release train.
-
-    Publishing the whole :class:`repro.series.DatasetSeries` as one
-    generation is what makes time-travel queries consistent: a request
-    that pins a generation sees the *same* chain for ``?release=0``
-    and ``?release=9``, even if a reload lands mid-request.
-    """
-
-    def __init__(self, series, *,
-                 source_path: Optional[str] = None) -> None:
-        super().__init__(SeriesSnapshot(
-            series=series, fingerprint=series.series_fingerprint,
-            generation=1), source_path)
-
-    @classmethod
-    def from_file(cls, path) -> "SeriesHolder":
-        """Boot a holder from a ``.rser`` file (mmap'd, lazy deltas)."""
-        return cls(load_series(path), source_path=str(path))
-
-    def _load(self, path, old: SeriesSnapshot) -> SeriesSnapshot:
-        series = load_series(path)
-        return SeriesSnapshot(
-            series=series, fingerprint=series.series_fingerprint,
-            generation=old.generation + 1)
-
-    def stats(self) -> Dict[str, object]:
-        snapshot = self._current
-        return {
-            "generation": snapshot.generation,
-            "fingerprint": snapshot.fingerprint,
-            "format": snapshot.source_format,
-            "packages": snapshot.packages,
-            "releases": snapshot.n_releases,
-            "ready": self._ready,
-            "reloads": self.reloads,
-            "failed_reloads": self.failed_reloads,
-            "source_path": self.source_path,
-        }
-
-
-def holder_from_file(path, popcon=None, repository=None):
-    """Boot the right holder flavor for a file, sniffed by magic.
-
-    ``.rser`` series files get a :class:`SeriesHolder`; everything
-    else (``.rsnap`` or JSON) a :class:`SnapshotHolder`.  This is the
-    one entry point the CLI and pre-fork workers need.
-    """
-    source = pathlib.Path(path)
-    with source.open("rb") as handle:
-        head = handle.read(8)
-    if sniff_series(head):
-        return SeriesHolder.from_file(source)
-    return SnapshotHolder.from_file(source, popcon, repository)
+        if isinstance(snapshot, SeriesSnapshot):
+            stats["releases"] = snapshot.n_releases
+        stats.update(ready=self._ready, reloads=self.reloads,
+                     failed_reloads=self.failed_reloads,
+                     source_path=self.source_path)
+        return stats
 
 
 @dataclass(frozen=True)
@@ -384,7 +325,7 @@ class ResolvedTarget:
     """What one request's tenant/release coordinates resolved to."""
 
     tenant: str
-    holder: _RcuHolder
+    holder: SnapshotHolder
     snapshot: object
     fingerprint: str
     generation: int
@@ -409,7 +350,7 @@ class SnapshotRegistry:
     """
 
     def __init__(self) -> None:
-        self._holders: Dict[str, _RcuHolder] = {}
+        self._holders: Dict[str, SnapshotHolder] = {}
 
     @classmethod
     def of(cls, source) -> "SnapshotRegistry":
@@ -427,9 +368,9 @@ class SnapshotRegistry:
         """Boot a registry: ``path`` as default plus named tenants."""
         registry = cls()
         registry.add(DEFAULT_TENANT,
-                     holder_from_file(path, popcon, repository))
+                     SnapshotHolder.from_file(path, popcon, repository))
         for name, tenant_path in (tenants or {}).items():
-            registry.add(name, holder_from_file(tenant_path))
+            registry.add(name, SnapshotHolder.from_file(tenant_path))
         return registry
 
     def add(self, name: str, holder) -> None:
@@ -442,7 +383,7 @@ class SnapshotRegistry:
             raise ValueError(f"tenant {name!r} already registered")
         self._holders[name] = holder
 
-    def get(self, tenant: Optional[str] = None) -> _RcuHolder:
+    def get(self, tenant: Optional[str] = None) -> SnapshotHolder:
         name = DEFAULT_TENANT if tenant is None else tenant
         try:
             return self._holders[name]
@@ -454,17 +395,12 @@ class SnapshotRegistry:
     def names(self):
         return sorted(self._holders)
 
-    def items(self) -> Iterator[Tuple[str, _RcuHolder]]:
+    def items(self) -> Iterator[Tuple[str, SnapshotHolder]]:
         return iter(sorted(self._holders.items()))
 
     def ready(self) -> bool:
         return all(holder.ready()
                    for holder in self._holders.values())
-
-    @property
-    def generation(self) -> int:
-        """The default tenant's generation (single-tenant shorthand)."""
-        return self.get().generation
 
     def resolve(self, tenant: Optional[str] = None,
                 release=None, scope: str = "dataset") -> ResolvedTarget:
@@ -520,32 +456,6 @@ class SnapshotRegistry:
             fingerprint=snapshot.series.fingerprints[index],
             generation=snapshot.generation,
             dataset=dataset, release=index)
-
-    def reload_from_source(self) -> Dict[str, object]:
-        """SIGHUP fan-in: re-read every source-bound tenant.
-
-        Attempts *all* tenants even if one fails (partial progress is
-        better than none for the fleet), then re-raises the first
-        failure so the caller's failed-reload accounting fires.
-        Raises ``RuntimeError`` when no tenant has a source path.
-        """
-        sourced = [(name, holder) for name, holder in self.items()
-                   if holder.source_path is not None]
-        if not sourced:
-            raise RuntimeError(
-                "holder has no source path bound; it was built "
-                "in-memory and never (re)loaded from a file")
-        published: Dict[str, object] = {}
-        first_error: Optional[Exception] = None
-        for name, holder in sourced:
-            try:
-                published[name] = holder.reload_from_source()
-            except Exception as exc:  # noqa: BLE001 — keep fleet going
-                if first_error is None:
-                    first_error = exc
-        if first_error is not None:
-            raise first_error
-        return published
 
     def stats(self) -> Dict[str, Dict[str, object]]:
         return {name: holder.stats() for name, holder in self.items()}

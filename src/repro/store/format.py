@@ -42,14 +42,26 @@ table (so a flipped offset can never be followed), ``payload_crc``
 covers every payload byte (so a mid-file bit flip is caught before any
 value is materialized).  ``file_size`` catches truncation without
 hashing anything.
+
+The header, section table and checksums are the one container framing
+of every binary file kind in the repo: a :class:`ContainerKind` names
+a kind's magic, version, required sections and section cap, and
+:func:`encode_file` / :func:`decode_header` take it.  ``.rsnap`` is
+:data:`SNAPSHOT`; the ``.rser`` series (:mod:`repro.series.format`)
+is the other kind.  :func:`load_file` is the one mmap-or-read open
+both loaders share.
 """
 
 from __future__ import annotations
 
+import io
+import mmap
+import os
+import pathlib
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List, Tuple, TypeVar
 
 from .errors import (StoreCRCError, StoreLayoutError, StoreMagicError,
                      StoreTruncatedError, StoreVersionError)
@@ -75,7 +87,26 @@ REQUIRED_TAGS = (b"META", b"PKGS", b"ITAB", b"MSK0", b"MSK1", b"MSK2",
                  b"MSK3", b"MSK4", b"MSK5", b"UNRS")
 OPTIONAL_TAGS = (b"POPC", b"DEPS", b"PRVS")
 
-_MAX_SECTIONS = 64  # v1 defines 13; anything bigger is garbage
+
+@dataclass(frozen=True)
+class ContainerKind:
+    """What tells one file kind in the shared container from another."""
+
+    #: The kind in error messages: "snapshot", "series".
+    name: str
+    #: The file suffix in error messages: ".rsnap", ".rser".
+    suffix: str
+    magic: bytes
+    version: int
+    required_tags: Tuple[bytes, ...]
+    #: More sections than this is garbage, not a file of this kind.
+    max_sections: int
+
+
+#: The ``.rsnap`` snapshot; v1 defines 13 sections.
+SNAPSHOT = ContainerKind(name="snapshot", suffix=".rsnap", magic=MAGIC,
+                         version=STORE_VERSION,
+                         required_tags=REQUIRED_TAGS, max_sections=64)
 
 
 def crc32(data) -> int:
@@ -166,7 +197,7 @@ class Cursor:
 
 @dataclass(frozen=True)
 class SnapshotHeader:
-    """Decoded header + section table of one validated snapshot."""
+    """Decoded header + section table of one validated container file."""
 
     version: int
     file_size: int
@@ -174,15 +205,10 @@ class SnapshotHeader:
     payload_crc: int
     sections: Dict[bytes, Tuple[int, int]]   # tag -> (offset, length)
 
-    @property
-    def payload_start(self) -> int:
-        return (HEADER_SIZE + len(self.sections) * SECTION_SIZE
-                + _U32.size)
 
-
-def encode_file(fingerprint: str,
-                sections: List[Tuple[bytes, bytes]]) -> bytes:
-    """Assemble a complete snapshot file from (tag, payload) pairs."""
+def encode_file(fingerprint: str, sections: List[Tuple[bytes, bytes]],
+                kind: ContainerKind = SNAPSHOT) -> bytes:
+    """Assemble a complete file of ``kind`` from (tag, payload) pairs."""
     fp_bytes = fingerprint.encode("ascii")
     if len(fp_bytes) != 64:
         raise ValueError("fingerprint must be 64 ascii hex chars")
@@ -198,14 +224,14 @@ def encode_file(fingerprint: str,
         offset += len(payload)
     payload = b"".join(payload_parts)
     file_size = payload_start + len(payload)
-    header = _HEADER.pack(MAGIC, STORE_VERSION, n_sections, file_size,
-                          fp_bytes, crc32(payload))
+    header = _HEADER.pack(kind.magic, kind.version, n_sections,
+                          file_size, fp_bytes, crc32(payload))
     meta = header + b"".join(table)
     return meta + _U32.pack(crc32(meta)) + payload
 
 
-def decode_header(data) -> SnapshotHeader:
-    """Validate ``data`` and decode its header.
+def decode_header(data, kind: ContainerKind = SNAPSHOT) -> SnapshotHeader:
+    """Validate ``data`` as a file of ``kind`` and decode its header.
 
     Runs the full integrity ladder — magic, version, size, both CRCs,
     section-table sanity — and raises the matching typed
@@ -216,19 +242,21 @@ def decode_header(data) -> SnapshotHeader:
     size = len(data)
     if size < HEADER_SIZE:
         raise StoreTruncatedError(
-            f"snapshot is {size} bytes; header needs {HEADER_SIZE}")
+            f"{kind.name} is {size} bytes; header needs {HEADER_SIZE}")
     (magic, version, n_sections, file_size, fp_bytes,
      payload_crc) = _HEADER.unpack_from(data, 0)
-    if magic != MAGIC:
+    if magic != kind.magic:
         raise StoreMagicError(
-            f"bad magic {bytes(magic)!r}; not a .rsnap snapshot")
-    if version != STORE_VERSION:
+            f"bad magic {bytes(magic)!r}; not a {kind.suffix} "
+            f"{kind.name}")
+    if version != kind.version:
         raise StoreVersionError(
-            f"snapshot version {version} != supported {STORE_VERSION}")
+            f"{kind.name} version {version} != supported "
+            f"{kind.version}")
     if file_size != size:
         raise StoreTruncatedError(
             f"header claims {file_size} bytes, file has {size}")
-    if n_sections > _MAX_SECTIONS:
+    if n_sections > kind.max_sections:
         raise StoreLayoutError(f"implausible section count "
                                f"{n_sections}")
     meta_end = HEADER_SIZE + n_sections * SECTION_SIZE
@@ -238,10 +266,15 @@ def decode_header(data) -> SnapshotHeader:
             f"section table overruns the file "
             f"({payload_start} > {size})")
     (meta_crc,) = _U32.unpack_from(data, meta_end)
-    if crc32(data[:meta_end]) != meta_crc:
-        raise StoreCRCError("header/section-table checksum mismatch")
-    if crc32(data[payload_start:]) != payload_crc:
-        raise StoreCRCError("payload checksum mismatch")
+    # Checksum views, not slices: slicing an mmap copies the whole
+    # payload.  The views are released on leaving the block, so a
+    # caller closing the map on the error below gets no BufferError.
+    with memoryview(data) as view:
+        if crc32(view[:meta_end]) != meta_crc:
+            raise StoreCRCError(
+                "header/section-table checksum mismatch")
+        if crc32(view[payload_start:]) != payload_crc:
+            raise StoreCRCError("payload checksum mismatch")
     try:
         fingerprint = bytes(fp_bytes).decode("ascii")
     except UnicodeDecodeError:  # pragma: no cover - crc catches first
@@ -258,9 +291,39 @@ def decode_header(data) -> SnapshotHeader:
                 f"section {tag!r} [{offset}, {offset + length}) "
                 f"outside payload [{payload_start}, {size})")
         sections[tag] = (offset, length)
-    for tag in REQUIRED_TAGS:
+    for tag in kind.required_tags:
         if tag not in sections:
             raise StoreLayoutError(f"missing section {tag!r}")
     return SnapshotHeader(version=version, file_size=file_size,
                           fingerprint=fingerprint,
                           payload_crc=payload_crc, sections=sections)
+
+
+_Loaded = TypeVar("_Loaded")
+
+
+def load_file(path, load: Callable[..., _Loaded]) -> _Loaded:
+    """Return ``load(buffer, resources)`` over the bytes of ``path``.
+
+    The buffer is a read-only mmap and ``resources`` is ``(map,)``:
+    the loaded object keeps the map alive and it is unmapped when that
+    object is garbage collected, or here if ``load`` raises.  Where a
+    filesystem cannot map, the buffer is a plain read (still lazy — it
+    just lives on the heap) and ``resources`` is empty.  The file
+    handle is closed before this returns: a map holds its own
+    descriptor.
+    """
+    target = pathlib.Path(path)
+    with open(target, "rb") as handle:
+        if os.fstat(handle.fileno()).st_size == 0:
+            raise StoreTruncatedError(f"{target} is empty")
+        try:
+            mapped = mmap.mmap(handle.fileno(), 0,
+                               access=mmap.ACCESS_READ)
+        except (OSError, ValueError, io.UnsupportedOperation):
+            return load(handle.read(), ())
+    try:
+        return load(mapped, (mapped,))
+    except BaseException:
+        mapped.close()
+        raise

@@ -25,9 +25,7 @@ mmap-lazy, and the legacy reference implementations — to equality).
 
 from __future__ import annotations
 
-import io
 import json
-import mmap
 import pathlib
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -43,7 +41,7 @@ from ..packages.popcon import PopularityContest
 from ..packages.repository import Repository
 from .errors import StoreLayoutError
 from .format import (MAGIC, Cursor, SnapshotHeader, decode_header,
-                     mask_row_bytes)
+                     load_file, mask_row_bytes)
 
 
 def sniff_format(head: bytes) -> str:
@@ -329,34 +327,12 @@ def load_snapshot(path,
                   ) -> SnapshotDataset:
     """mmap ``path`` read-only and load it lazily.
 
-    The map (and file handle) stay referenced by the returned dataset
-    and are released when it is garbage collected.  Falls back to a
-    plain read for filesystems that cannot map (still lazy — the
-    buffer just lives on the heap).
+    The map stays referenced by the returned dataset and is released
+    when it is garbage collected (:func:`repro.store.format.load_file`
+    has the plain-read fallback).
     """
-    from .errors import StoreTruncatedError
-    target = pathlib.Path(path)
-    handle = open(target, "rb")
-    try:
-        size = target.stat().st_size
-        if size == 0:
-            raise StoreTruncatedError(f"{target} is empty")
-        try:
-            mapped = mmap.mmap(handle.fileno(), 0,
-                               access=mmap.ACCESS_READ)
-        except (OSError, ValueError, io.UnsupportedOperation):
-            data = handle.read()
-            return load_snapshot_bytes(data, popcon, repository)
-    except BaseException:
-        handle.close()
-        raise
-    try:
-        return load_snapshot_bytes(mapped, popcon, repository,
-                                   resources=(mapped, handle))
-    except BaseException:
-        mapped.close()
-        handle.close()
-        raise
+    return load_file(path, lambda data, resources: load_snapshot_bytes(
+        data, popcon, repository, resources))
 
 
 def snapshot_info(path) -> Dict[str, object]:

@@ -13,10 +13,11 @@ from repro.series import (SERIES_MAGIC, DatasetSeries, ReleaseDelta,
                           build_series, decode_delta, encode_delta,
                           load_series, load_series_bytes, series_info,
                           series_to_bytes, sniff_series, write_series)
-from repro.series.format import delta_tag, encode_series_file
+from repro.series.format import SERIES, delta_tag
 from repro.store import (StoreCRCError, StoreError, StoreLayoutError,
                          StoreMagicError, StoreTruncatedError,
                          StoreVersionError)
+from repro.store.format import encode_file
 from repro.synth import EvolutionConfig, evolve_corpus
 from repro.synth.paper import PaperScaleConfig
 
@@ -53,7 +54,7 @@ def reassemble(series, mutate):
         offset, length = series._header.sections[tag]
         sections.append((tag, bytes(series._data[offset:offset + length])))
     mutate(sections)
-    return encode_series_file(series.series_fingerprint, sections)
+    return encode_file(series.series_fingerprint, sections, SERIES)
 
 
 class TestRoundTrip:
@@ -142,7 +143,7 @@ class TestCorruption:
             load_series_bytes(bytes(mutated))
 
     def test_bit_flip_in_section_table(self, series_bytes):
-        from repro.series.format import HEADER_SIZE
+        from repro.store.format import HEADER_SIZE
         mutated = bytearray(series_bytes)
         mutated[HEADER_SIZE + 2] ^= 0x01
         with pytest.raises(StoreCRCError):

@@ -7,14 +7,14 @@ import threading
 import pytest
 
 from repro.obs import parse_metrics
-from repro.serve import ServeApp, ServeServer, SnapshotHolder
+from repro.serve import ServeApp, SnapshotHolder, ThreadingTransport
 
 
 @pytest.fixture(scope="module")
 def server(study):
     holder = SnapshotHolder(study.dataset)
     app = ServeApp(holder, concurrency=8, max_wait_seconds=2.0)
-    with ServeServer(app, port=0) as running:
+    with ThreadingTransport(app, port=0) as running:
         yield running
 
 
@@ -211,7 +211,7 @@ class TestConcurrentClients:
 def test_graceful_stop_and_restartable_app(study):
     holder = SnapshotHolder(study.dataset)
     app = ServeApp(holder)
-    server = ServeServer(app, port=0).start()
+    server = ThreadingTransport(app, port=0).start()
     conn = http.client.HTTPConnection(server.host, server.port,
                                       timeout=10)
     conn.request("GET", "/healthz")
@@ -219,7 +219,7 @@ def test_graceful_stop_and_restartable_app(study):
     conn.close()
     server.stop()
     # The app (and its caches) survive; a new listener can be bound.
-    second = ServeServer(app, port=0).start()
+    second = ThreadingTransport(app, port=0).start()
     try:
         conn = http.client.HTTPConnection(second.host, second.port,
                                           timeout=10)

@@ -21,9 +21,8 @@ import pytest
 
 from repro.metrics import importance_table
 from repro.serve import (DEFAULT_TENANT, ENDPOINTS_BY_NAME, Request,
-                         SeriesHolder, ServeApp, SnapshotHolder,
-                         SnapshotRegistry, WorkerSupervisor,
-                         canonical_json, holder_from_file)
+                         ServeApp, SnapshotHolder, SnapshotRegistry,
+                         WorkerSupervisor, canonical_json)
 from repro.series import load_series
 from repro.synth import EvolutionConfig, evolve_corpus
 from repro.synth.paper import PaperScaleConfig
@@ -55,7 +54,7 @@ def series(series_path):
 
 @pytest.fixture(scope="module")
 def app(series_path):
-    return ServeApp(SeriesHolder.from_file(series_path))
+    return ServeApp(SnapshotHolder.from_file(series_path))
 
 
 def handle(app, method, path, query=None, body=None):
@@ -214,7 +213,7 @@ class TestMultiTenant:
     def multi_app(self, study, series_path):
         registry = SnapshotRegistry()
         registry.add(DEFAULT_TENANT, SnapshotHolder(study.dataset))
-        registry.add("train", holder_from_file(series_path))
+        registry.add("train", SnapshotHolder.from_file(series_path))
         return ServeApp(registry)
 
     def test_tenants_answer_independently(self, multi_app, study,
@@ -278,7 +277,7 @@ class TestSeriesReload:
     @pytest.fixture()
     def reload_app(self, tmp_path_factory):
         path = build_train(tmp_path_factory, seed=21)
-        return path, ServeApp(SeriesHolder.from_file(path))
+        return path, ServeApp(SnapshotHolder.from_file(path))
 
     def test_failed_reload_keeps_the_old_generation(self, reload_app,
                                                     tmp_path):

@@ -228,18 +228,23 @@ class TestErrorContract:
             dataset_to_json(corpus.dataset)
         assert loaded.popcon is corpus.popcon
 
-    def test_cache_reads_legacy_json_snapshots(self, corpus,
-                                               tmp_path):
+    def test_cache_json_at_old_address_reads_as_miss(self, corpus,
+                                                     tmp_path):
+        # Only the .rsnap address is read: a JSON snapshot beside it
+        # is a miss (the caller re-interns), yet the sweep still
+        # counts and clears it.
         cache = AnalysisCache(str(tmp_path))
         fingerprint = footprints_fingerprint(corpus.dataset)
-        legacy = cache._json_dataset_path(fingerprint)
-        legacy.parent.mkdir(parents=True, exist_ok=True)
-        legacy.write_text(dataset_to_json(corpus.dataset),
-                          encoding="utf-8")
-        loaded = cache.get_dataset(fingerprint)
-        assert loaded is not None
-        assert dataset_to_json(loaded) == \
-            dataset_to_json(corpus.dataset)
+        old = cache._dataset_path(fingerprint).with_suffix(".json")
+        old.parent.mkdir(parents=True, exist_ok=True)
+        old.write_text(dataset_to_json(corpus.dataset),
+                       encoding="utf-8")
+        assert cache.get_dataset(fingerprint) is None
+        assert cache.stats.dataset_misses == 1
+        assert cache.stats.dataset_hits == 0
+        assert cache.entry_count() == 1
+        assert cache.clear() == 1
+        assert not old.exists()
 
     def test_magic_is_binary_sniffable(self):
         # PNG-style: high bit set, CR LF to catch text-mode mangling.
