@@ -37,6 +37,10 @@ from .dimensions import (DIMENSION_ORDER, FOOTPRINT_FIELDS,
 from .graph import CondensedDependencyGraph
 from .interner import ApiInterner
 
+#: Row ``v``: the bits of byte value ``v``, least significant first.
+_BYTE_BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None],
+                           axis=1, bitorder="little").astype(bool)
+
 
 class ApiSpace:
     """The interned API universe: one :class:`ApiInterner` per
@@ -231,14 +235,13 @@ class Dataset(MappingABC):
         """Empty every lazy cache.
 
         All are pure functions of the fields set in ``__init__``.
-        ``_weights``, ``_weight_by_name`` and ``_importance`` read
-        popcon and ``_graphs`` reads the repository; :meth:`rebound`
-        copies share every other cache.
+        ``_weights``, ``_weight_by_name``, ``_importance`` and
+        ``_blocked`` read popcon and ``_graphs`` reads the repository;
+        :meth:`rebound` copies share every other cache.
         """
         self._weights: Optional[Tuple[float, ...]] = None
         self._weight_by_name: Optional[Dict[str, float]] = None
         self._masks: Dict[str, List[int]] = {}
-        self._bit_counts: Dict[str, List[int]] = {}
         self._universe_ids: Dict[Tuple[str, bool], List[int]] = {}
         # (dimension, ignore_empty) -> the key naming its universe's id
         # set; equal sets share one key (see condensed_graph).
@@ -247,6 +250,7 @@ class Dataset(MappingABC):
                                        Tuple[str, bool]] = {}
         self._users: Dict[str, List[List[int]]] = {}
         self._importance: Dict[str, Dict[str, float]] = {}
+        self._blocked: Dict[str, Dict[int, float]] = {}
         self._usage: Dict[Tuple[str, bool], Dict[str, float]] = {}
         self._graphs: Dict[Tuple[Tuple[str, bool],
                                  Optional[Tuple[str, bool]]],
@@ -304,14 +308,6 @@ class Dataset(MappingABC):
                 index = DIMENSION_INDEX[dimension]
                 cached = [bits.masks[index] for bits in self.bitsets]
             self._masks[dimension] = cached
-        return cached
-
-    def bit_counts(self, dimension: str) -> List[int]:
-        """Per-package API count in ``dimension`` (do not mutate)."""
-        cached = self._bit_counts.get(dimension)
-        if cached is None:
-            cached = [mask.bit_count() for mask in self.masks(dimension)]
-            self._bit_counts[dimension] = cached
         return cached
 
     def universe_ids(self, dimension: str,
@@ -402,6 +398,54 @@ class Dataset(MappingABC):
                 cached = [ids[np.flatnonzero(column)].tolist()
                           for column in np.ascontiguousarray(bits.T)]
             self._users[dimension] = cached
+        return cached
+
+    def last_ranks(self, dimension: str,
+                   api_rank: np.ndarray) -> np.ndarray:
+        """Per package, in package order, the largest ``api_rank`` over
+        the APIs it uses in ``dimension``, or 0 if it uses none.
+
+        ``api_rank`` is a non-negative int array indexed by api id.
+        Read from the packed mask rows one byte column at a time: a
+        256-entry table per column gives the largest rank among the
+        eight APIs of each byte value.
+        """
+        result = np.zeros(len(self.packages), dtype=np.int64)
+        for dim in (DIMENSION_ORDER if dimension == "all"
+                    else (dimension,)):
+            size = self.space.size(dim)
+            if not size:
+                continue
+            offset = self.space.offsets[dim] if dimension == "all" else 0
+            row_bytes = (size + 7) // 8
+            ranks = np.zeros(row_bytes * 8, dtype=np.int64)
+            ranks[:size] = api_rank[offset:offset + size]
+            tables = np.where(_BYTE_BITS, ranks.reshape(row_bytes, 1, 8),
+                              0).max(axis=2)
+            rows = self._mask_rows(dim)
+            for column in range(row_bytes):
+                np.maximum(result, tables[column][rows[:, column]],
+                           out=result)
+        return result
+
+    def blocked_weights(self, dimension: str) -> Dict[int, float]:
+        """api id -> summed install probability of its users, for every
+        used API in ``dimension``, in id order.
+
+        Each sum is the left fold of ``weights`` over
+        ``users_index(dimension)[api]`` in ascending package order
+        (``np.cumsum`` adds in sequence, so its last entry is that
+        fold): exactly the weight an unsupported API blocks.  Reads
+        popcon, so :meth:`rebound` onto other popcon starts it afresh.
+        """
+        cached = self._blocked.get(dimension)
+        if cached is None:
+            weights = np.array(self.weights, dtype=np.float64)
+            cached = {
+                api_id: float(np.cumsum(weights[users])[-1])
+                for api_id, users in enumerate(self.users_index(dimension))
+                if users}
+            self._blocked[dimension] = cached
         return cached
 
     def importance_table(self, dimension: str = "syscall",
@@ -514,6 +558,7 @@ class Dataset(MappingABC):
             clone._weights = None
             clone._weight_by_name = None
             clone._importance = {}
+            clone._blocked = {}
         if repository is not self.repository:
             clone._graphs = {}
         return clone

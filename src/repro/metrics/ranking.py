@@ -6,18 +6,19 @@ grows.  The resulting curve tells a system builder what the next most
 valuable API is and how much of a typical installation each
 implementation stage unlocks.
 
-The curve runs on the interned substrate: per-package requirement
-counts come from mask popcounts, the api -> users index is the
-dataset's cached id index, and the dependency condensation
-(:class:`repro.dataset.CondensedDependencyGraph`) is built once per
-dataset and reused across curve calls — only the cheap per-run
-counters (:class:`repro.dataset.SupportTracker`) are fresh.
+The curve runs on the interned substrate: each package's completion
+rank is read with numpy from its packed mask row, and the dependency
+condensation (:class:`repro.dataset.CondensedDependencyGraph`) is
+built once per dataset and reused across curve calls — only the cheap
+per-run counters (:class:`repro.dataset.SupportTracker`) are fresh.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import List, Mapping, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..dataset.core import FootprintsLike, as_dataset
 from ..packages.popcon import PopularityContest
@@ -61,11 +62,12 @@ def completeness_curve(footprints: FootprintsLike,
     Packages with an empty footprint are excluded (see
     :func:`repro.metrics.completeness.weighted_completeness`).
 
-    Runs incrementally: per package, how many required APIs are still
-    missing (a mask popcount); per dependency-graph component, how many
-    members and dependencies are still unsupported — so the whole curve
-    costs O(APIs + packages + dependency edges) instead of re-running
-    the dependency fixed point at every rank.
+    Runs incrementally: per package, the rank at which its last
+    required API arrives (numpy over the packed mask rows); per
+    dependency-graph component, how many members and dependencies are
+    still unsupported — so the whole curve costs O(APIs + packages +
+    dependency edges) instead of re-running the dependency fixed point
+    at every rank.
     """
     dataset = as_dataset(footprints, popcon, repository)
     popcon = dataset._require_popcon()
@@ -84,43 +86,50 @@ def completeness_curve(footprints: FootprintsLike,
                    key=lambda api: (-importance[api],
                                     -usage.get(api, 0.0), api))
 
-    requirement_count = list(dataset.bit_counts(dimension))
-    users = dataset.users_index(dimension)
-
     total_weight = sum(weights[i] for i in universe_ids)
     if total_weight == 0:
         return []
 
-    tracker = (None if repository is None
-               else dataset.condensed_graph(
-                   dimension, ignore_empty,
-                   assume_trivial=True).tracker())
-
-    supported_weight = 0.0
-
-    def note_satisfied(package: str) -> float:
-        if tracker is None:
-            return dataset.weight_of(package)
-        return sum(dataset.weight_of(p)
-                   for p in tracker.mark_satisfied(package))
-
-    for i in universe_ids:
-        if requirement_count[i] == 0:
-            supported_weight += note_satisfied(packages[i])
-    curve: List[CurvePoint] = []
+    # A package is satisfied at the rank of its last API: 0 when it
+    # uses none, never (past the last rank) when one of its APIs is
+    # not in the order.  Feeding packages in stable (rank, package id)
+    # order is the order in which per-API user lists would count each
+    # one down to zero.
+    never = len(order) + 1
+    api_rank = np.full(space.size(dimension), never, dtype=np.int64)
     for rank, api in enumerate(order, start=1):
         try:
-            api_id = space.id_of(dimension, api)
+            api_rank[space.id_of(dimension, api)] = rank
         except KeyError:
-            api_id = None         # universe-extended API nobody uses
-        if api_id is not None:
-            for pkg_id in users[api_id]:
-                requirement_count[pkg_id] -= 1
-                if requirement_count[pkg_id] == 0:
-                    supported_weight += note_satisfied(
-                        packages[pkg_id])
-        curve.append(CurvePoint(
-            rank, api, supported_weight / total_weight))
+            pass                  # universe-extended API nobody uses
+    universe = np.array(universe_ids, dtype=np.int64)
+    ranks = dataset.last_ranks(dimension, api_rank)[universe]
+    by_rank = np.argsort(ranks, kind="stable")
+    schedule = [packages[i] for i in universe[by_rank].tolist()]
+    ends = np.searchsorted(ranks[by_rank], np.arange(never),
+                           side="right").tolist()
+
+    weight_of = dataset.weight_of
+    if repository is None:
+        note_satisfied = weight_of
+    else:
+        mark_satisfied = dataset.condensed_graph(
+            dimension, ignore_empty,
+            assume_trivial=True).tracker().mark_satisfied
+
+        def note_satisfied(package: str) -> float:
+            return sum(map(weight_of, mark_satisfied(package)))
+
+    supported_weight = 0.0
+    curve: List[CurvePoint] = []
+    done = 0
+    for rank, end in enumerate(ends):
+        for package in schedule[done:end]:
+            supported_weight += note_satisfied(package)
+        done = end
+        if rank:
+            curve.append(CurvePoint(
+                rank, order[rank - 1], supported_weight / total_weight))
     return curve
 
 

@@ -36,9 +36,14 @@ def dependency_groups(depends: Iterable[str],
     """
     groups = []
     for dep in depends:
-        alternatives = split_alternatives(dep)
-        if alternatives:
-            groups.append(alternatives)
+        if "|" in dep:
+            alternatives = split_alternatives(dep)
+            if alternatives:
+                groups.append(alternatives)
+        else:
+            dep = dep.strip()
+            if dep:
+                groups.append((dep,))
     return tuple(groups)
 
 

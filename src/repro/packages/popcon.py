@@ -92,7 +92,10 @@ class PopularityContest:
         """
         names = list(package_names)
         pinned = dict(pinned or {})
-        essential_set = set(essential)
+        # Input order, deduplicated: counts (and so ``packages()``)
+        # must not follow set order, which varies with PYTHONHASHSEED.
+        essential_names = list(dict.fromkeys(essential))
+        essential_set = set(essential_names)
         counts: Dict[str, int] = {}
 
         rest = [n for n in names
@@ -114,7 +117,7 @@ class PopularityContest:
             # packages that exist at all.
             probability = max(probability, 2.0 / total_installations)
             counts[name] = max(1, int(probability * total_installations))
-        for name in essential_set:
+        for name in essential_names:
             if name in names:
                 counts[name] = total_installations
         for name, probability in pinned.items():

@@ -17,8 +17,10 @@ with behaviour identical to the pre-refactor model.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (Dict, FrozenSet, Iterable, Iterator, List, Optional,
-                    Set, Tuple)
+from typing import (Dict, FrozenSet, Iterable, Iterator, List, NamedTuple,
+                    Optional, Set, Tuple)
+
+import numpy as np
 
 from .package import Package, dependency_groups
 
@@ -44,12 +46,32 @@ class DependencyReport:
         return bool(self.dangling or self.virtual_satisfied)
 
 
+class DependencyTable(NamedTuple):
+    """The dependency groups of a repository as flat integer lists.
+
+    Package ids are positions in insertion order (``ids`` maps a name
+    to its id).  Package ``p``'s groups are the group ids
+    ``group_start[p]:group_start[p + 1]``; group ``g``'s satisfier ids
+    are ``satisfiers[satisfier_start[g]:satisfier_start[g + 1]]``: the
+    :meth:`Repository.satisfiers` of each alternative in turn, each id
+    kept at its first occurrence.  A group with an unknown, unprovided
+    alternative is satisfied whatever the rest of the repository does,
+    so the table marks it by leaving it out.
+    """
+
+    ids: Dict[str, int]
+    group_start: np.ndarray
+    satisfier_start: np.ndarray
+    satisfiers: np.ndarray
+
+
 class Repository:
     """A collection of packages indexed by name.
 
-    Provider/reverse-dependency/group indexes are built lazily on first
-    use and invalidated by :meth:`add` — lookups between mutations are
-    O(1) instead of a full repository scan per call.
+    Provider/group indexes, the reverse-dependency index and the
+    integer :class:`DependencyTable` are built lazily on first use and
+    invalidated by :meth:`add` — lookups between mutations are O(1)
+    instead of a full repository scan per call.
     """
 
     def __init__(self, packages: Iterable[Package] = ()) -> None:
@@ -57,6 +79,7 @@ class Repository:
         self._groups: Optional[Dict[str, Tuple[Tuple[str, ...], ...]]] = None
         self._providers: Optional[Dict[str, List[str]]] = None
         self._reverse: Optional[Dict[str, List[str]]] = None
+        self._table: Optional[DependencyTable] = None
         for package in packages:
             self.add(package)
 
@@ -67,6 +90,7 @@ class Repository:
         self._groups = None
         self._providers = None
         self._reverse = None
+        self._table = None
 
     def __contains__(self, name: str) -> bool:
         return name in self._packages
@@ -97,10 +121,20 @@ class Repository:
             groups[package.name] = dependency_groups(package.depends)
             for virtual in package.provides:
                 providers.setdefault(virtual, []).append(package.name)
+        # Providers first: a reader that sees ``_groups`` set finds
+        # ``_providers`` set too.
+        self._providers = providers
+        self._groups = groups
+
+    def _ensure_reverse(self) -> None:
+        if self._reverse is not None:
+            return
+        self._ensure_indexes()
+        providers = self._providers
         reverse: Dict[str, List[str]] = {}
-        for package in self._packages.values():
+        for name, groups in self._groups.items():
             seen: Set[str] = set()
-            for group in groups[package.name]:
+            for group in groups:
                 for alternative in group:
                     targets = [alternative]
                     targets.extend(providers.get(alternative, ()))
@@ -108,10 +142,52 @@ class Repository:
                         if target in seen:
                             continue
                         seen.add(target)
-                        reverse.setdefault(target, []).append(package.name)
-        self._groups = groups
-        self._providers = providers
+                        reverse.setdefault(target, []).append(name)
         self._reverse = reverse
+
+    def dependency_table(self) -> DependencyTable:
+        """The cached integer :class:`DependencyTable`."""
+        table = self._table
+        if table is not None:
+            return table
+        self._ensure_indexes()
+        ids = {name: i for i, name in enumerate(self._packages)}
+        providers = self._providers
+        group_start = [0]
+        satisfier_start = [0]
+        satisfiers: List[int] = []
+        for groups in self._groups.values():
+            for group in groups:
+                if len(group) == 1 and group[0] not in providers:
+                    # The common plain entry: the real package or open.
+                    own = ids.get(group[0])
+                    if own is not None:
+                        satisfiers.append(own)
+                        satisfier_start.append(len(satisfiers))
+                    continue
+                start = len(satisfiers)
+                for alternative in group:
+                    # satisfiers(): the real package, then providers.
+                    candidates = [ids[name] for name
+                                  in providers.get(alternative, ())]
+                    own = ids.get(alternative)
+                    if own is not None:
+                        candidates.insert(0, own)
+                    elif not candidates:
+                        del satisfiers[start:]
+                        break
+                    for candidate in candidates:
+                        if candidate not in satisfiers[start:]:
+                            satisfiers.append(candidate)
+                else:
+                    satisfier_start.append(len(satisfiers))
+            group_start.append(len(satisfier_start) - 1)
+        table = DependencyTable(
+            ids, np.array(group_start, dtype=np.int64),
+            np.array(satisfier_start, dtype=np.int64),
+            np.array(satisfiers, dtype=np.int64))
+        self._table = table
+        return table
 
     def dependency_groups_of(self, name: str) -> Tuple[Tuple[str, ...], ...]:
         """Parsed AND-of-OR groups of ``name`` (empty if unknown)."""
@@ -192,7 +268,7 @@ class Repository:
         or names a virtual package that ``name`` provides.  Backed by
         the cached reverse-adjacency index.
         """
-        self._ensure_indexes()
+        self._ensure_reverse()
         dependents = set(self._reverse.get(name, ()))
         package = self._packages.get(name)
         if package is not None:
@@ -243,17 +319,36 @@ class Repository:
         completeness error this degradation introduces.  On a corpus
         without alternatives or virtuals the view is semantically
         identical to the source repository.
+
+        The view's groups come from this repository's parsed groups: a
+        first alternative parses to its own one-alternative group, so
+        nothing is parsed again.  A package whose ``depends`` are
+        already plain names and which provides nothing is the same in
+        the view, so the view shares it instead of copying it.
         """
-        collapsed = []
-        for package in self:
-            groups = dependency_groups(package.depends)
-            collapsed.append(Package(
-                name=package.name,
-                category=package.category,
-                artifacts=package.artifacts,
-                depends=[group[0] for group in groups],
-                description=package.description))
-        return Repository(collapsed)
+        self._ensure_indexes()
+        view = Repository()
+        packages = view._packages
+        view_groups: Dict[str, Tuple[Tuple[str, ...], ...]] = {}
+        for name, groups in self._groups.items():
+            package = self._packages[name]
+            firsts = [group[0] for group in groups]
+            if package.provides or package.depends != firsts:
+                package = Package(
+                    name=name,
+                    category=package.category,
+                    artifacts=package.artifacts,
+                    depends=firsts,
+                    description=package.description)
+            if sum(map(len, groups)) > len(groups):
+                # Only groups with alternatives change; without any,
+                # the parsed groups are already the view's.
+                groups = tuple([(first,) for first in firsts])
+            packages[name] = package
+            view_groups[name] = groups
+        view._providers = {}
+        view._groups = view_groups
+        return view
 
     def topological_order(self) -> List[Package]:
         """Dependencies-first order; cycles broken arbitrarily."""

@@ -8,6 +8,11 @@ retired, and popcon re-samples with continuity rather than fresh
 draws.
 """
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from repro.analysis.footprint import Footprint
@@ -124,3 +129,35 @@ class TestPopconContinuity:
                 if cur.popcon.installations(name)
                 == prev.popcon.installations(name))
             assert unchanged >= len(common) // 2
+
+
+#: Prints one sha256 per release of a small train, each over that
+#: release's own ``.rser`` image.
+_TRAIN_HASHES = """
+import hashlib
+from repro.series.builder import series_to_bytes
+from repro.synth import EvolutionConfig, evolve_corpus
+from repro.synth.paper import PaperScaleConfig
+evolved = evolve_corpus(EvolutionConfig(
+    n_releases=3, base=PaperScaleConfig.at_scale(0.05)))
+for dataset in evolved.datasets():
+    print(hashlib.sha256(series_to_bytes([dataset])).hexdigest())
+"""
+
+
+class TestHashSeedIndependence:
+    def test_train_bytes_do_not_depend_on_string_hashing(self):
+        """Popcon churn walks the survey in ``packages()`` order, so
+        that order (essential packages included) must not follow set
+        iteration, which changes with ``PYTHONHASHSEED``."""
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        hashes = []
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       PYTHONPATH=str(src))
+            result = subprocess.run(
+                [sys.executable, "-c", _TRAIN_HASHES], env=env,
+                capture_output=True, text=True, timeout=300, check=True)
+            hashes.append(result.stdout.split())
+        assert len(hashes[0]) == 3
+        assert hashes[0] == hashes[1]

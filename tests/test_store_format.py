@@ -117,6 +117,7 @@ class TestLazyMaterialization:
         loaded = load_snapshot_bytes(snapshot_bytes)
         loaded.users_index("syscall")
         loaded.importance_table("syscall")
+        loaded.blocked_weights("syscall")
         loaded.condensed_graph("syscall")
         clone = loaded.rebound(corpus.popcon, corpus.repository)
         assert isinstance(clone, SnapshotDataset)
@@ -129,9 +130,10 @@ class TestLazyMaterialization:
         # Caches that read popcon or the repository start empty ...
         assert clone._weights is None
         assert clone._importance == {} and loaded._importance
+        assert clone._blocked == {} and loaded._blocked
         assert clone._graphs == {} and loaded._graphs
         # ... and the ones that read neither are shared.
-        for cache in ("_masks", "_bit_counts", "_universe_ids",
+        for cache in ("_masks", "_universe_ids",
                       "_universe_keys", "_users", "_usage"):
             assert getattr(clone, cache) is getattr(loaded, cache)
         assert clone.users_index("syscall") is \
